@@ -55,7 +55,7 @@ CBoard::crash()
     alive_ = false;
     stats_.crashes++;
     // The pipeline state and inflight reassembly die with the board.
-    inflight_.clear();
+    clearInflight();
     lock_owners_.clear();
 }
 
@@ -87,7 +87,7 @@ CBoard::restart()
     last_op_done_ = 0;
     refill_pending_ = false;
     refill_done_ = 0;
-    inflight_.clear();
+    clearInflight();
     packets_since_gc_ = 0;
     lock_owners_.clear();
     // A rebooted board fences nothing until the controller observes
@@ -109,18 +109,72 @@ CBoard::restart()
 // ---------------------------------------------------------------------
 
 void
+CBoard::Inflight::reset()
+{
+    parts_seen = 0;
+    total_parts = 0;
+    done = 0;
+    status = Status::kOk;
+    suppressed = false;
+    seen_bits.clear();
+    atomic_result = 0;
+    last_seen = 0;
+    req.reset();
+}
+
+CBoard::Inflight &
+CBoard::inflightFor(ReqId id)
+{
+    if (const std::uint32_t *slot = inflight_.find(id))
+        return inflight_slots_[*slot];
+    std::uint32_t slot;
+    if (!inflight_free_.empty()) {
+        slot = inflight_free_.back();
+        inflight_free_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(inflight_slots_.size());
+        inflight_slots_.emplace_back();
+    }
+    inflight_.insert(id, slot);
+    return inflight_slots_[slot];
+}
+
+void
+CBoard::releaseInflight(ReqId id)
+{
+    const std::uint32_t *found = inflight_.find(id);
+    if (!found)
+        return;
+    const std::uint32_t slot = *found;
+    inflight_.erase(id);
+    inflight_slots_[slot].reset();
+    inflight_free_.push_back(slot);
+}
+
+void
+CBoard::clearInflight()
+{
+    inflight_.clear();
+    inflight_slots_.clear();
+    inflight_free_.clear();
+}
+
+void
 CBoard::gcInflight()
 {
     const Tick horizon = 10 * cfg_.clib.timeout;
     if (eq_.now() < horizon)
         return;
     const Tick cutoff = eq_.now() - horizon;
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second.last_seen < cutoff)
-            it = inflight_.erase(it);
-        else
-            ++it;
-    }
+    // Collect first: erasing while walking the map would move entries
+    // under the walk.
+    std::vector<ReqId> stale;
+    inflight_.forEach([&](ReqId id, std::uint32_t slot) {
+        if (inflight_slots_[slot].last_seen < cutoff)
+            stale.push_back(id);
+    });
+    for (ReqId id : stale)
+        releaseInflight(id);
 }
 
 void
@@ -174,7 +228,7 @@ CBoard::onPacket(Packet pkt)
       case MsgType::kWrite:
       case MsgType::kAtomic:
       case MsgType::kFence: {
-        auto &inflight = inflight_[pkt.req_id];
+        Inflight &inflight = inflightFor(pkt.req_id);
         if (inflight.total_parts == 0) {
             inflight.total_parts = pkt.total_parts;
             inflight.req =
@@ -240,7 +294,7 @@ CBoard::onPacket(Packet pkt)
                               cfg_.fast_path.mac_latency;
             last_op_done_ = std::max(last_op_done_, inflight.done);
             respondAt(when, req.src, req.req_id, std::move(resp));
-            inflight_.erase(req.req_id);
+            releaseInflight(req.req_id);
         }
         break;
       }
@@ -747,7 +801,7 @@ CBoard::registerOffloadShared(std::uint32_t offload_id,
 void
 CBoard::extendPathPacket(const Packet &pkt)
 {
-    auto &inflight = inflight_[pkt.req_id];
+    Inflight &inflight = inflightFor(pkt.req_id);
     if (inflight.total_parts == 0) {
         inflight.total_parts = pkt.total_parts;
         inflight.req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
@@ -821,7 +875,7 @@ CBoard::extendPathPacket(const Packet &pkt)
     done += fp.respond_cycles * fp.cycle + fp.mac_latency;
     last_op_done_ = std::max(last_op_done_, done);
     respondAt(done, req.src, req.req_id, std::move(resp));
-    inflight_.erase(pkt.req_id);
+    releaseInflight(pkt.req_id);
 }
 
 Tick

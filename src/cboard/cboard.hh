@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cboard/dedup_buffer.hh"
@@ -46,6 +45,7 @@
 #include "proto/messages.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "valloc/va_allocator.hh"
 
 namespace clio {
@@ -105,6 +105,8 @@ class CBoard
     DedupBuffer &dedupBuffer() { return dedup_; }
     const CBoardStats &stats() const { return stats_; }
     const ModelConfig &config() const { return cfg_; }
+    /** Requests with reassembly state on the board (test hook). */
+    std::size_t inflightRequests() const { return inflight_.size(); }
     /** @} */
 
     /**
@@ -249,7 +251,9 @@ class CBoard
   private:
     friend class OffloadVm;
 
-    /** Per-inflight-request reassembly/completion state. */
+    /** Per-inflight-request reassembly/completion state. Bodies are
+     * recycled through a free list; reset() returns one to its fresh
+     * state but keeps seen_bits' capacity. */
     struct Inflight
     {
         std::uint32_t parts_seen = 0;
@@ -271,7 +275,18 @@ class CBoard
          * Long multi-packet transfers keep refreshing it. */
         Tick last_seen = 0;
         std::shared_ptr<const RequestMsg> req;
+
+        void reset();
     };
+
+    /** @{ Inflight slots: the body for request `id`, claimed from the
+     * free list on its first packet; releaseInflight() unlinks the id
+     * and recycles the body. */
+    Inflight &inflightFor(ReqId id);
+    void releaseInflight(ReqId id);
+    /** Drop every inflight request (crash / restart). */
+    void clearInflight();
+    /** @} */
 
     /** Sweep inflight entries abandoned for longer than ~10x a client
      * timeout (their packets were lost; the client retried with a new
@@ -355,7 +370,10 @@ class CBoard
      * quarter of physical memory for small configurations). */
     std::uint32_t reserve_cap_ = 0;
 
-    std::unordered_map<ReqId, Inflight> inflight_;
+    /** Inflight requests: request id -> index into inflight_slots_. */
+    FlatMap<ReqId, std::uint32_t> inflight_;
+    std::vector<Inflight> inflight_slots_;
+    std::vector<std::uint32_t> inflight_free_;
     std::uint64_t packets_since_gc_ = 0;
 
     /** Recycling ring for response messages (one per completed

@@ -13,22 +13,27 @@
 #define CLIO_CBOARD_DEDUP_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace clio {
 
-/** Ring buffer of executed (write/atomic) request ids + atomic results. */
+/** Ring buffer of executed (write/atomic) request ids + atomic results:
+ * a fixed `capacity` ring of ids in insertion order, indexed by a
+ * FlatMap from id to cached result. Nothing allocates after
+ * construction. */
 class DedupBuffer
 {
   public:
     explicit DedupBuffer(std::uint32_t capacity);
 
     /**
-     * Record an executed non-idempotent request.
+     * Record an executed non-idempotent request. At capacity the oldest
+     * id is evicted; re-recording a present id changes nothing (neither
+     * its cached result nor its place in the ring).
      * @param req_id the ORIGINAL attempt id (retries carry it along).
      * @param atomic_result cached value for atomics (0 for writes).
      */
@@ -42,7 +47,7 @@ class DedupBuffer
 
     std::uint32_t capacity() const { return capacity_; }
     std::uint32_t size() const {
-        return static_cast<std::uint32_t>(fifo_.size());
+        return static_cast<std::uint32_t>(results_.size());
     }
 
     /** Suppressed duplicate executions (stat). */
@@ -51,9 +56,10 @@ class DedupBuffer
 
   private:
     std::uint32_t capacity_;
-    /** Insertion order for ring eviction. */
-    std::deque<ReqId> fifo_;
-    std::unordered_map<ReqId, std::uint64_t> results_;
+    /** Ids in insertion order; once full, `next_` is the oldest. */
+    std::vector<ReqId> ring_;
+    std::uint32_t next_ = 0;
+    FlatMap<ReqId, std::uint64_t> results_;
     std::uint64_t suppressed_ = 0;
 };
 

@@ -29,13 +29,13 @@
 #include <functional>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.hh"
 #include "proto/messages.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 
 namespace clio {
@@ -202,7 +202,7 @@ class CNode
     NodeId node_;
 
     /** Outstanding requests: CURRENT attempt id -> slot. */
-    std::unordered_map<ReqId, std::uint32_t> out_index_;
+    FlatMap<ReqId, std::uint32_t> out_index_;
     std::vector<Outstanding> out_slots_;
     std::vector<std::uint32_t> out_free_;
 

@@ -99,30 +99,39 @@ CompletionQueue::rpoll_cq(std::size_t max_n)
 // SubmissionBatch
 // ---------------------------------------------------------------------
 
+SubmissionBatch::StagedOp &
+SubmissionBatch::stage(StagedOp::Kind kind)
+{
+    clio_assert(client_ != nullptr, "staging on an empty batch");
+    // Batches are small windows: one allocation covers the common
+    // sizes instead of growing 1 -> 2 -> 4.
+    if (ops_.capacity() == 0)
+        ops_.reserve(4);
+    StagedOp &op = ops_.emplace_back();
+    op.kind = kind;
+    return op;
+}
+
 std::size_t
 SubmissionBatch::read(VirtAddr addr, void *buf, std::uint64_t len)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back(
-        [c, addr, buf, len] { return c->rreadAsync(addr, buf, len); });
+    StagedOp &op = stage(StagedOp::Kind::kRead);
+    op.addr = addr;
+    op.buf = buf;
+    op.len = len;
     return ops_.size() - 1;
 }
 
 std::size_t
 SubmissionBatch::write(VirtAddr addr, const void *src, std::uint64_t len)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
+    StagedOp &op = stage(StagedOp::Kind::kWrite);
+    op.addr = addr;
     // Copy the payload now: the source may be gone by submit() time
     // (e.g. an actor's stack frame when the runner submits the step).
     // The staged copy is then moved into the request — one copy total.
-    std::vector<std::uint8_t> data(
-        static_cast<const std::uint8_t *>(src),
-        static_cast<const std::uint8_t *>(src) + len);
-    ops_.push_back([c, addr, data = std::move(data)]() mutable {
-        return c->rwriteAsync(addr, std::move(data));
-    });
+    const auto *bytes = static_cast<const std::uint8_t *>(src);
+    op.bytes.assign(bytes, bytes + len);
     return ops_.size() - 1;
 }
 
@@ -130,41 +139,37 @@ std::size_t
 SubmissionBatch::alloc(std::uint64_t size, std::uint8_t perm,
                        bool populate, NodeId mn_override)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, size, perm, populate, mn_override] {
-        return c->rallocAsync(size, perm, populate, mn_override);
-    });
+    StagedOp &op = stage(StagedOp::Kind::kAlloc);
+    op.len = size;
+    op.perm = perm;
+    op.populate = populate;
+    op.mn = mn_override;
     return ops_.size() - 1;
 }
 
 std::size_t
 SubmissionBatch::free(VirtAddr addr)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, addr] { return c->rfreeAsync(addr); });
+    stage(StagedOp::Kind::kFree).addr = addr;
     return ops_.size() - 1;
 }
 
 std::size_t
-SubmissionBatch::atomic(VirtAddr addr, AtomicOp op, std::uint64_t arg0,
+SubmissionBatch::atomic(VirtAddr addr, AtomicOp aop, std::uint64_t arg0,
                         std::uint64_t arg1)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, addr, op, arg0, arg1] {
-        return c->atomicAsync(addr, op, arg0, arg1);
-    });
+    StagedOp &op = stage(StagedOp::Kind::kAtomic);
+    op.addr = addr;
+    op.aop = aop;
+    op.arg0 = arg0;
+    op.arg1 = arg1;
     return ops_.size() - 1;
 }
 
 std::size_t
 SubmissionBatch::fence()
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c] { return c->fenceAsync(); });
+    stage(StagedOp::Kind::kFence);
     return ops_.size() - 1;
 }
 
@@ -173,13 +178,36 @@ SubmissionBatch::offload(NodeId mn, std::uint32_t offload_id,
                          std::vector<std::uint8_t> arg,
                          std::uint64_t expected_resp_bytes)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, mn, offload_id, arg = std::move(arg),
-                    expected_resp_bytes] {
-        return c->offloadAsync(mn, offload_id, arg, expected_resp_bytes);
-    });
+    StagedOp &op = stage(StagedOp::Kind::kOffload);
+    op.mn = mn;
+    op.offload_id = offload_id;
+    op.bytes = std::move(arg);
+    op.len = expected_resp_bytes;
     return ops_.size() - 1;
+}
+
+HandlePtr
+SubmissionBatch::issue(StagedOp &op)
+{
+    ClioClient &c = *client_;
+    switch (op.kind) {
+      case StagedOp::Kind::kRead:
+        return c.rreadAsync(op.addr, op.buf, op.len);
+      case StagedOp::Kind::kWrite:
+        return c.rwriteAsync(op.addr, std::move(op.bytes));
+      case StagedOp::Kind::kAlloc:
+        return c.rallocAsync(op.len, op.perm, op.populate, op.mn);
+      case StagedOp::Kind::kFree:
+        return c.rfreeAsync(op.addr);
+      case StagedOp::Kind::kAtomic:
+        return c.atomicAsync(op.addr, op.aop, op.arg0, op.arg1);
+      case StagedOp::Kind::kFence:
+        return c.fenceAsync();
+      case StagedOp::Kind::kOffload:
+        return c.offloadAsync(op.mn, op.offload_id, std::move(op.bytes),
+                              op.len);
+    }
+    clio_panic("unknown staged op kind");
 }
 
 void
@@ -192,8 +220,8 @@ SubmissionBatch::submit(CompletionQueue &cq, std::uint64_t base_tag,
     client_->stats_.batches++;
     client_->stats_.batched_ops += ops_.size();
     std::uint64_t tag = base_tag;
-    for (auto &stage : ops_) {
-        cq.watch(stage(), tag);
+    for (StagedOp &op : ops_) {
+        cq.watch(issue(op), tag);
         tag += tag_stride;
     }
     ops_.clear();

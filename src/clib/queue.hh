@@ -194,9 +194,47 @@ class SubmissionBatch
     Outcome submitAndWait();
 
   private:
+    /** One staged request: the async call's kind and arguments, issued
+     * in staging order at submit(). */
+    struct StagedOp
+    {
+        enum class Kind : std::uint8_t
+        {
+            kRead,
+            kWrite,
+            kAlloc,
+            kFree,
+            kAtomic,
+            kFence,
+            kOffload,
+        };
+        Kind kind = Kind::kFence;
+        /** Alloc permission bits. */
+        std::uint8_t perm = 0;
+        /** Alloc: bind frames eagerly. */
+        bool populate = false;
+        AtomicOp aop = AtomicOp::kTestAndSet;
+        /** Alloc MN override / offload target MN. */
+        NodeId mn = 0;
+        std::uint32_t offload_id = 0;
+        VirtAddr addr = 0;
+        /** Read/write length, alloc size, or offload response hint. */
+        std::uint64_t len = 0;
+        std::uint64_t arg0 = 0;
+        std::uint64_t arg1 = 0;
+        /** Read destination (must outlive completion). */
+        void *buf = nullptr;
+        /** Write payload (copied at staging) or offload argument. */
+        std::vector<std::uint8_t> bytes;
+    };
+
+    /** Append a staged op of `kind`; @return it (valid until the next
+     * staging call). */
+    StagedOp &stage(StagedOp::Kind kind);
+    HandlePtr issue(StagedOp &op);
+
     ClioClient *client_ = nullptr;
-    /** Deferred async calls, run in staging order at submit(). */
-    std::vector<std::function<HandlePtr()>> ops_;
+    std::vector<StagedOp> ops_;
     bool submitted_ = false;
 };
 

@@ -15,13 +15,12 @@ PhysicalMemory::PhysicalMemory(std::uint64_t capacity)
 std::uint8_t *
 PhysicalMemory::chunkFor(std::uint64_t chunk_index) const
 {
-    auto it = chunks_.find(chunk_index);
-    if (it != chunks_.end())
-        return it->second.get();
+    if (auto *chunk = chunks_.find(chunk_index))
+        return chunk->get();
+    // make_unique<T[]> value-initializes: the chunk starts zeroed.
     auto chunk = std::make_unique<std::uint8_t[]>(kChunkBytes);
-    std::memset(chunk.get(), 0, kChunkBytes);
     auto *raw = chunk.get();
-    chunks_.emplace(chunk_index, std::move(chunk));
+    chunks_.insert(chunk_index, std::move(chunk));
     return raw;
 }
 
@@ -37,12 +36,10 @@ PhysicalMemory::read(PhysAddr addr, void *dst, std::uint64_t len) const
         const std::uint64_t chunk_index = addr / kChunkBytes;
         const std::uint64_t offset = addr % kChunkBytes;
         const std::uint64_t n = std::min(len, kChunkBytes - offset);
-        auto it = chunks_.find(chunk_index);
-        if (it == chunks_.end()) {
+        if (const auto *chunk = chunks_.find(chunk_index))
+            std::memcpy(out, chunk->get() + offset, n);
+        else
             std::memset(out, 0, n); // untouched memory reads as zero
-        } else {
-            std::memcpy(out, it->second.get() + offset, n);
-        }
         out += n;
         addr += n;
         len -= n;
@@ -91,9 +88,8 @@ PhysicalMemory::zero(PhysAddr addr, std::uint64_t len)
         const std::uint64_t chunk_index = addr / kChunkBytes;
         const std::uint64_t offset = addr % kChunkBytes;
         const std::uint64_t n = std::min(len, kChunkBytes - offset);
-        auto it = chunks_.find(chunk_index);
-        if (it != chunks_.end())
-            std::memset(it->second.get() + offset, 0, n);
+        if (auto *chunk = chunks_.find(chunk_index))
+            std::memset(chunk->get() + offset, 0, n);
         addr += n;
         len -= n;
     }

@@ -15,9 +15,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace clio {
@@ -59,11 +58,13 @@ class PhysicalMemory
     std::uint8_t *chunkFor(std::uint64_t chunk_index) const;
 
     std::uint64_t capacity_;
-    /** chunk index -> lazily allocated chunk. Mutable so that read() of
-     * untouched memory can stay logically const without materializing
-     * (it simply skips absent chunks). */
-    mutable std::unordered_map<std::uint64_t,
-                               std::unique_ptr<std::uint8_t[]>> chunks_;
+    /** chunk index -> lazily allocated chunk. A hash map rather than an
+     * array indexed by chunk, so host set-up and memory grow with the
+     * bytes touched, not with the MN's capacity. Mutable so that read()
+     * of untouched memory can stay logically const without
+     * materializing (it simply skips absent chunks). */
+    mutable FlatMap<std::uint64_t, std::unique_ptr<std::uint8_t[]>>
+        chunks_;
 };
 
 } // namespace clio

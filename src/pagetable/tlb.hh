@@ -10,15 +10,20 @@
 #define CLIO_PAGETABLE_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "pagetable/pte.hh"
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace clio {
 
-/** Fixed-capacity fully-associative LRU TLB. */
+/**
+ * Fixed-capacity fully-associative LRU TLB. Entries live in a
+ * `capacity`-sized array linked into an MRU-to-LRU list by index; a
+ * FlatMap keyed by the exact (pid, vpn) pair maps to the entry index.
+ * Nothing allocates after construction.
+ */
 class Tlb
 {
   public:
@@ -46,9 +51,15 @@ class Tlb
     /** Drop every entry of one process (address space teardown). */
     void invalidateProcess(ProcId pid);
 
+    /** Whether (pid, vpn) is cached; no LRU promotion, no stats. */
+    bool contains(ProcId pid, std::uint64_t vpn) const
+    {
+        return index_.contains(Key{pid, vpn});
+    }
+
     std::uint32_t capacity() const { return capacity_; }
     std::uint32_t size() const {
-        return static_cast<std::uint32_t>(map_.size());
+        return static_cast<std::uint32_t>(index_.size());
     }
 
     /** @{ Hit/miss counters for stats and benches. */
@@ -66,33 +77,47 @@ class Tlb
   private:
     struct Key
     {
-        ProcId pid;
-        std::uint64_t vpn;
+        ProcId pid = 0;
+        std::uint64_t vpn = 0;
         bool operator==(const Key &) const = default;
     };
 
     struct KeyHash
     {
-        std::size_t
+        std::uint64_t
         operator()(const Key &k) const
         {
-            // Mix pid into the vpn with a 64-bit multiply-shift.
-            std::uint64_t x = k.vpn * 0x9E3779B97F4A7C15ull + k.pid;
-            x ^= x >> 32;
-            return static_cast<std::size_t>(x);
+            // A process's consecutive pages stay consecutive keys.
+            return (k.vpn + std::uint64_t{k.pid} * 0xC2B2AE3D27D4EB4Full) *
+                   kFibonacciMultiplier;
         }
     };
 
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** One TLB entry, doubly linked into the LRU list by index (or
+     * singly into the free list through `next`). */
     struct Entry
     {
         Pte pte;
-        std::list<Key>::iterator lru_pos;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
     };
 
+    void unlink(std::uint32_t e);
+    void pushFront(std::uint32_t e);
+    /** Unlink entry `e`, drop its key, and return it to the free list. */
+    void release(std::uint32_t e);
+
     std::uint32_t capacity_;
-    std::unordered_map<Key, Entry, KeyHash> map_;
-    /** Front = MRU, back = LRU. */
-    std::list<Key> lru_;
+    std::vector<Entry> entries_;
+    /** Exact (pid, vpn) -> index into entries_. */
+    FlatMap<Key, std::uint32_t, KeyHash> index_;
+    /** MRU and LRU ends of the list; kNil when empty. */
+    std::uint32_t head_ = kNil;
+    std::uint32_t tail_ = kNil;
+    /** Unused entries, linked through `next`. */
+    std::uint32_t free_ = kNil;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

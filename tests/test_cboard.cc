@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "cboard/cboard.hh"
 #include "cboard/dedup_buffer.hh"
@@ -249,6 +250,191 @@ TEST(DedupBufferUnit, CapacityOneKeepsOnlyNewest)
     EXPECT_FALSE(buf.find(5).has_value());
     EXPECT_EQ(buf.find(6).value_or(0), 66u);
     EXPECT_EQ(buf.size(), 1u);
+}
+
+TEST(DedupBufferUnit, ReRecordDoesNotAdvanceRing)
+{
+    DedupBuffer buf(3);
+    buf.record(1, 10);
+    buf.record(2, 20);
+    buf.record(3, 30);
+    // Re-recording a present id takes no ring position: the next new
+    // id still evicts the oldest (1), then 2, in insertion order.
+    buf.record(2, 99);
+    EXPECT_EQ(buf.size(), 3u);
+    EXPECT_EQ(buf.find(1).value_or(0), 10u);
+    buf.record(4, 40);
+    EXPECT_FALSE(buf.find(1).has_value());
+    EXPECT_EQ(buf.find(2).value_or(0), 20u);
+    EXPECT_EQ(buf.find(3).value_or(0), 30u);
+    EXPECT_EQ(buf.find(4).value_or(0), 40u);
+    buf.record(5, 50);
+    EXPECT_FALSE(buf.find(2).has_value());
+    EXPECT_TRUE(buf.find(3).has_value());
+    EXPECT_EQ(buf.size(), 3u);
+    // An evicted id records afresh (a new ring position).
+    buf.record(1, 11);
+    EXPECT_FALSE(buf.find(3).has_value());
+    EXPECT_EQ(buf.find(1).value_or(0), 11u);
+    EXPECT_EQ(buf.size(), 3u);
+}
+
+/**
+ * Injects hand-made request packets into a 1-CN/1-MN cluster from a
+ * probe node and collects the board's responses. CBoard keeps request
+ * reassembly state in recycled slots, so these drive the cases where
+ * a new request lands in a slot an earlier request left behind.
+ */
+struct SlotReuseFixture
+{
+    Cluster cluster{ModelConfig::prototype(), 1, 1};
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    NodeId probe = 0;
+    VirtAddr base = 0;
+    std::vector<ResponseMsg> responses;
+    ReqId next_id = 0xF0000001;
+
+    SlotReuseFixture()
+    {
+        probe = cluster.network().addNode([this](Packet pkt) {
+            if (pkt.type == MsgType::kResponse)
+                responses.push_back(
+                    static_cast<const ResponseMsg &>(*pkt.msg));
+        });
+        base = client.ralloc(4 * MiB, kPermReadWrite, true).value_or(0);
+    }
+
+    /** Send part `part` of `total` of a write of `value` at `addr`, at
+     * tick `when`. The packet carries 8 payload bytes at offset
+     * 8 * part. */
+    void
+    sendWritePart(Tick when, ReqId id, ReqId orig, VirtAddr addr,
+                  std::uint64_t value, std::uint32_t part = 0,
+                  std::uint32_t total = 1)
+    {
+        auto req = std::make_shared<RequestMsg>();
+        req->type = MsgType::kWrite;
+        req->pid = client.pid();
+        req->req_id = id;
+        req->orig_req_id = orig;
+        req->src = probe;
+        req->dst = mn.nodeId();
+        req->addr = addr;
+        req->size = 8 * total;
+        req->data.resize(req->size);
+        std::memcpy(req->data.data() + 8 * part, &value, 8);
+        Packet pkt;
+        pkt.src = probe;
+        pkt.dst = mn.nodeId();
+        pkt.req_id = id;
+        pkt.type = MsgType::kWrite;
+        pkt.part = part;
+        pkt.total_parts = total;
+        pkt.payload_offset = 8 * part;
+        pkt.payload_len = 8;
+        pkt.wire_bytes = kPacketHeaderBytes + 8;
+        pkt.msg = std::move(req);
+        cluster.eventQueue().schedule(
+            when, [this, pkt = std::move(pkt)]() mutable {
+                cluster.network().send(std::move(pkt));
+            });
+    }
+
+    std::uint64_t
+    readWord(VirtAddr addr)
+    {
+        std::uint64_t v = 0;
+        EXPECT_EQ(client.rread(addr, &v, sizeof(v)), Status::kOk);
+        return v;
+    }
+};
+
+TEST(CBoardSlotReuse, RequestAfterSuppressedRetryExecutes)
+{
+    SlotReuseFixture f;
+    const std::uint64_t a = 0xAAAA, c = 0xCCCC;
+    ASSERT_EQ(f.client.rwrite(f.base, &a, sizeof(a)), Status::kOk);
+    // A retry of that write (fresh id, the original's orig id: CN node
+    // id in the high bits, sequence 2 after the alloc) is suppressed.
+    const ReqId orig = (static_cast<ReqId>(f.cluster.cn(0).nodeId()) << 40) | 2;
+    const Tick t0 = f.cluster.eventQueue().now();
+    f.sendWritePart(t0, f.next_id++, orig, f.base, 0xBAD);
+    f.cluster.run();
+    ASSERT_EQ(f.mn.dedupBuffer().suppressed(), 1u);
+    ASSERT_EQ(f.mn.inflightRequests(), 0u);
+    // The next request to arrive takes the slot the suppressed retry
+    // just released; it must execute, not inherit `suppressed`.
+    const ReqId id = f.next_id++;
+    f.sendWritePart(f.cluster.eventQueue().now(), id, id, f.base, c);
+    f.cluster.run();
+    ASSERT_EQ(f.responses.size(), 2u);
+    EXPECT_EQ(f.responses[1].status, Status::kOk);
+    EXPECT_EQ(f.mn.dedupBuffer().suppressed(), 1u);
+    EXPECT_EQ(f.readWord(f.base), c);
+}
+
+/** Leave one multi-part write abandoned after its first part, let the
+ * GC reclaim it, then check that requests reusing its slot run
+ * normally. `retry_of_recorded` makes the abandoned request a
+ * suppressed dedup retry; otherwise it fails translation
+ * (kBadAddress) so its slot carries a failed status. */
+void
+abandonedSlotIsReusedClean(bool retry_of_recorded)
+{
+    SlotReuseFixture f;
+    const std::uint64_t a = 0xAAAA;
+    ASSERT_EQ(f.client.rwrite(f.base, &a, sizeof(a)), Status::kOk);
+    const ReqId orig = (static_cast<ReqId>(f.cluster.cn(0).nodeId()) << 40) | 2;
+    const Tick t0 = f.cluster.eventQueue().now();
+    const ReqId abandoned = f.next_id++;
+    if (retry_of_recorded) {
+        f.sendWritePart(t0, abandoned, orig, f.base, 0xBAD, 0, 3);
+    } else {
+        // 1 GiB past the region: no PTE, so the part fails.
+        f.sendWritePart(t0, abandoned, abandoned, f.base + GiB, 0xBAD, 0, 3);
+    }
+    f.cluster.run();
+    ASSERT_EQ(f.mn.inflightRequests(), 1u);
+    ASSERT_TRUE(f.responses.empty()); // parts 1 and 2 never arrive
+    const std::uint64_t suppressed = f.mn.dedupBuffer().suppressed();
+    EXPECT_EQ(suppressed, retry_of_recorded ? 1u : 0u);
+
+    // Well past the GC horizon (10 client timeouts), send enough
+    // single-part writes that the board's every-4096-packets sweep
+    // runs. The sweep frees the abandoned slot and the very packet
+    // that triggered it claims the slot next; inheriting its seen
+    // bits would drop that packet as a duplicate part, its status
+    // would fail it, and `suppressed` would skip its write.
+    const Tick late = f.cluster.eventQueue().now() +
+                      11 * ModelConfig::prototype().clib.timeout;
+    constexpr std::uint32_t kWrites = 4200;
+    constexpr std::uint32_t kWords = 256;
+    for (std::uint32_t i = 0; i < kWrites; i++) {
+        const ReqId id = f.next_id++;
+        f.sendWritePart(late + i * kMicrosecond, id, id,
+                        f.base + 8 * (i % kWords), 1000 + i);
+    }
+    f.cluster.run();
+    EXPECT_EQ(f.mn.inflightRequests(), 0u); // the sweep ran
+    ASSERT_EQ(f.responses.size(), kWrites);
+    for (const ResponseMsg &r : f.responses)
+        ASSERT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(f.mn.dedupBuffer().suppressed(), suppressed);
+    for (std::uint32_t w = 0; w < kWords; w++) {
+        const std::uint32_t last = w + kWords * ((kWrites - 1 - w) / kWords);
+        EXPECT_EQ(f.readWord(f.base + 8 * w), 1000u + last) << "word " << w;
+    }
+}
+
+TEST(CBoardSlotReuse, SlotOfAbandonedSuppressedRetryIsReusedClean)
+{
+    abandonedSlotIsReusedClean(true);
+}
+
+TEST(CBoardSlotReuse, SlotOfAbandonedFailedRequestIsReusedClean)
+{
+    abandonedSlotIsReusedClean(false);
 }
 
 TEST(CBoardDevice, FenceGatesLaterFastPathWork)

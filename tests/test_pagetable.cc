@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "pagetable/hash_page_table.hh"
@@ -239,6 +242,207 @@ TEST(Tlb, ReinsertRefreshesLru)
     tlb.insert(makePte(1, 3, 0, kPermRead, true, true));
     EXPECT_NE(tlb.lookup(1, 1), nullptr); // survived, vpn2 evicted
     EXPECT_EQ(tlb.lookup(1, 2), nullptr);
+}
+
+/**
+ * Reference model: the straightforward std::unordered_map + std::list
+ * LRU, against which the array-based TLB is checked operation by
+ * operation.
+ */
+class RefLruTlb
+{
+  public:
+    struct Key
+    {
+        ProcId pid;
+        std::uint64_t vpn;
+        bool operator==(const Key &) const = default;
+    };
+
+    explicit RefLruTlb(std::uint32_t capacity) : capacity_(capacity) {}
+
+    const Pte *
+    lookup(ProcId pid, std::uint64_t vpn)
+    {
+        auto it = map_.find(Key{pid, vpn});
+        if (it == map_.end())
+            return nullptr;
+        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        return &it->second.pte;
+    }
+
+    /** @return the evicted key, if the insert evicted one. */
+    std::optional<Key>
+    insert(const Pte &pte)
+    {
+        const Key key{pte.pid, pte.vpn};
+        auto it = map_.find(key);
+        if (it != map_.end()) {
+            it->second.pte = pte;
+            lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+            return std::nullopt;
+        }
+        std::optional<Key> victim;
+        if (map_.size() >= capacity_) {
+            victim = lru_.back();
+            lru_.pop_back();
+            map_.erase(*victim);
+        }
+        lru_.push_front(key);
+        map_.emplace(key, Entry{pte, lru_.begin()});
+        return victim;
+    }
+
+    void
+    update(const Pte &pte)
+    {
+        auto it = map_.find(Key{pte.pid, pte.vpn});
+        if (it != map_.end())
+            it->second.pte = pte;
+    }
+
+    void
+    invalidate(ProcId pid, std::uint64_t vpn)
+    {
+        auto it = map_.find(Key{pid, vpn});
+        if (it == map_.end())
+            return;
+        lru_.erase(it->second.lru_pos);
+        map_.erase(it);
+    }
+
+    void
+    invalidateProcess(ProcId pid)
+    {
+        for (auto it = map_.begin(); it != map_.end();) {
+            if (it->first.pid == pid) {
+                lru_.erase(it->second.lru_pos);
+                it = map_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+    }
+
+    std::size_t size() const { return map_.size(); }
+    const std::list<Key> &lru() const { return lru_; }
+
+  private:
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &k) const
+        {
+            return std::hash<std::uint64_t>{}(k.vpn) ^ k.pid;
+        }
+    };
+    struct Entry
+    {
+        Pte pte;
+        std::list<Key>::iterator lru_pos;
+    };
+
+    std::uint32_t capacity_;
+    std::unordered_map<Key, Entry, KeyHash> map_;
+    std::list<Key> lru_;
+};
+
+/** Random (pid, vpn) from a small space that includes vpns above 2^40
+ * differing only in their high bits, so a key that packed pid and vpn
+ * into one word (or dropped high vpn bits) would alias entries. */
+RefLruTlb::Key
+randomKey(Rng &rng)
+{
+    static constexpr std::uint64_t kHigh[] = {
+        0, 1ull << 40, 3ull << 40, 1ull << 52, 0x8000000000000000ull};
+    const ProcId pid = 1 + static_cast<ProcId>(rng.uniformInt(3));
+    const std::uint64_t vpn =
+        rng.uniformInt(6) + kHigh[rng.uniformInt(std::size(kHigh))];
+    return {pid, vpn};
+}
+
+void
+tlbDifferential(std::uint32_t capacity, std::uint64_t seed, int ops)
+{
+    Tlb tlb(capacity);
+    RefLruTlb ref(capacity);
+    Rng rng(seed);
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    for (int i = 0; i < ops; i++) {
+        const RefLruTlb::Key k = randomKey(rng);
+        const std::uint64_t roll = rng.uniformInt(100);
+        const Pte pte = makePte(k.pid, k.vpn, rng.uniformInt(1024) * MiB,
+                                kPermReadWrite, true, rng.chance(0.5));
+        if (roll < 45) {
+            const Pte *got = tlb.lookup(k.pid, k.vpn);
+            const Pte *want = ref.lookup(k.pid, k.vpn);
+            ASSERT_EQ(got != nullptr, want != nullptr) << "op " << i;
+            if (want) {
+                hits++;
+                EXPECT_EQ(got->frame, want->frame);
+                EXPECT_EQ(got->present, want->present);
+                EXPECT_EQ(got->pid, k.pid);
+                EXPECT_EQ(got->vpn, k.vpn);
+            } else {
+                misses++;
+            }
+        } else if (roll < 80) {
+            const auto victim = ref.insert(pte);
+            tlb.insert(pte);
+            if (victim) {
+                EXPECT_FALSE(tlb.contains(victim->pid, victim->vpn))
+                    << "op " << i;
+            }
+        } else if (roll < 88) {
+            ref.update(pte);
+            tlb.update(pte);
+        } else if (roll < 97) {
+            ref.invalidate(k.pid, k.vpn);
+            tlb.invalidate(k.pid, k.vpn);
+        } else {
+            ref.invalidateProcess(k.pid);
+            tlb.invalidateProcess(k.pid);
+        }
+        ASSERT_EQ(tlb.size(), ref.size()) << "op " << i;
+        // Same size and every reference key present => same contents,
+        // hence the same eviction victims so far.
+        for (const RefLruTlb::Key &key : ref.lru())
+            ASSERT_TRUE(tlb.contains(key.pid, key.vpn)) << "op " << i;
+    }
+    EXPECT_EQ(tlb.hits(), hits);
+    EXPECT_EQ(tlb.misses(), misses);
+}
+
+TEST(Tlb, DifferentialAgainstMapListLru)
+{
+    for (std::uint32_t capacity : {1u, 2u, 7u, 64u}) {
+        for (std::uint64_t seed = 1; seed <= 6; seed++) {
+            SCOPED_TRACE(::testing::Message()
+                         << "capacity " << capacity << " seed " << seed);
+            tlbDifferential(capacity, seed, 4000);
+        }
+    }
+}
+
+TEST(Tlb, KeyIsExactAboveTwoToThe40)
+{
+    // vpns that differ only above bit 40, and pids that a pid<<40|vpn
+    // packing would confuse with vpn bits, are distinct entries.
+    Tlb tlb(8);
+    tlb.insert(makePte(1, 5, 1 * MiB, kPermRead, true, true));
+    tlb.insert(makePte(1, 5 + (1ull << 40), 2 * MiB, kPermRead, true, true));
+    tlb.insert(makePte(2, 5, 3 * MiB, kPermRead, true, true));
+    tlb.insert(makePte(0, 5 + (2ull << 40), 4 * MiB, kPermRead, true, true));
+    EXPECT_EQ(tlb.size(), 4u);
+    EXPECT_EQ(tlb.lookup(1, 5)->frame, 1 * MiB);
+    EXPECT_EQ(tlb.lookup(1, 5 + (1ull << 40))->frame, 2 * MiB);
+    EXPECT_EQ(tlb.lookup(2, 5)->frame, 3 * MiB);
+    EXPECT_EQ(tlb.lookup(0, 5 + (2ull << 40))->frame, 4 * MiB);
+    EXPECT_EQ(tlb.lookup(2, 5 + (1ull << 40)), nullptr);
+    tlb.invalidate(1, 5 + (1ull << 40));
+    EXPECT_NE(tlb.lookup(1, 5), nullptr);
+    EXPECT_EQ(tlb.size(), 3u);
 }
 
 } // namespace
